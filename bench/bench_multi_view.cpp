@@ -147,7 +147,7 @@ TermCacheConfig SharedCache() {
   return cache;
 }
 
-void PrintFigure(JsonReport* report) {
+bool PrintFigure(JsonReport* report) {
   PrintTableHeader(
       "Multi-view shared maintenance (churn k=12, random order)",
       {"N/overlap", "config", "msgs", "bytes", "reads", "dedup", "promo",
@@ -223,8 +223,9 @@ void PrintFigure(JsonReport* report) {
                "to auxiliary views; 'ok' checks every\n child's final view "
                "against a from-scratch evaluation)\n";
   if (!all_ok) {
-    std::cerr << "warning: at least one cell failed or diverged\n";
+    std::cerr << "error: at least one cell failed or diverged\n";
   }
+  return all_ok;
 }
 
 void BM_MultiView(benchmark::State& state) {
@@ -255,9 +256,9 @@ BENCHMARK(BM_MultiView)
 
 int main(int argc, char** argv) {
   wvm::bench::JsonReport report;
-  wvm::bench::PrintFigure(&report);
+  const bool ok = wvm::bench::PrintFigure(&report);
   report.WriteFileFromEnv();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

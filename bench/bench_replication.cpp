@@ -170,7 +170,8 @@ double HammerReadsStable(ReplicatedSimulation* sim) {
 
 }  // namespace
 
-void PrintFigure(JsonReport* json) {
+bool PrintFigure(JsonReport* json) {
+  bool ok = true;
   PrintTableHeader(
       StrCat("Read throughput vs replica group size (", kReaderThreads,
              " reader threads, ", kHammerReads,
@@ -187,6 +188,7 @@ void PrintFigure(JsonReport* json) {
       if (!f.ok()) {
         std::cerr << "N=" << n << " drop=" << drop << ": " << f.status()
                   << "\n";
+        ok = false;
         continue;
       }
       const double rps = HammerReadsStable(f->sim.get());
@@ -246,6 +248,7 @@ void PrintFigure(JsonReport* json) {
       if (!f.ok()) {
         std::cerr << cell.label << " seed=" << seed << ": " << f.status()
                   << "\n";
+        ok = false;
         continue;
       }
       const ReadStats& stats = f->sim->router().stats();
@@ -274,6 +277,7 @@ void PrintFigure(JsonReport* json) {
   std::cout << "(read-your-writes buys 'never miss my own update' with "
                "refusals while writes are\n unsettled; bounded staleness "
                "serves more but admits lag up to the bound)\n";
+  return ok;
 }
 
 namespace {
@@ -300,9 +304,9 @@ BENCHMARK(BM_ReplicatedReads)->ArgNames({"replicas"})->Arg(1)->Arg(4);
 
 int main(int argc, char** argv) {
   wvm::bench::JsonReport json;
-  wvm::bench::PrintFigure(&json);
+  const bool ok = wvm::bench::PrintFigure(&json);
   json.WriteFileFromEnv();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

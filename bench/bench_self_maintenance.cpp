@@ -75,8 +75,10 @@ Averaged RunAveraged(const CaseConfig& base) {
   return avg;
 }
 
-void PrintComparison(const std::string& title, const std::string& json_prefix,
+// Returns false if any row was not strongly consistent.
+bool PrintComparison(const std::string& title, const std::string& json_prefix,
                      const std::vector<Cell>& cells, JsonReport* report) {
+  bool all_strong = true;
   PrintTableHeader(title, {"algorithm", "M", "queries", "B", "io", "local%",
                            "aux rows", "coverage%", "mean lag", "strong"});
   for (const Cell& cell : cells) {
@@ -98,7 +100,9 @@ void PrintComparison(const std::string& title, const std::string& json_prefix,
     report->Metric("wall_seconds", a.wall_seconds);
     report->Metric("strongly_consistent",
                    static_cast<int64_t>(a.strongly_consistent ? 1 : 0));
+    all_strong = all_strong && a.strongly_consistent;
   }
+  return all_strong;
 }
 
 CaseConfig StarConfig(Algorithm algorithm) {
@@ -126,13 +130,13 @@ CaseConfig KeyedConfig(Algorithm algorithm) {
 
 }  // namespace
 
-void PrintFigure(JsonReport* report) {
+bool PrintFigure(JsonReport* report) {
   // 1. Key/FK star: constraints do the heavy lifting — dimension churn is
   // proven empty outright, order traffic resolves against the pruned
   // dimension complements, and only cold-part references query the source.
   CaseConfig no_complements = StarConfig(Algorithm::kSelfMaintain);
   no_complements.self_maintain.complements = false;
-  PrintComparison(
+  bool ok = PrintComparison(
       "Key/FK star, k=40 integrity-preserving updates, random order, avg "
       "of " + std::to_string(kSeeds) + " seeds",
       "fk_star",
@@ -148,17 +152,21 @@ void PrintFigure(JsonReport* report) {
 
   // 2. Keys without FKs: nothing is provably empty, so locality costs a
   // full mirror of the base relations (the Section 7 store-copies bound).
-  PrintComparison(
+  ok = PrintComparison(
       "Keyed 2-relation workload, k=24 mixed updates, random order, avg "
       "of " + std::to_string(kSeeds) + " seeds",
       "keyed",
       {{"eca", KeyedConfig(Algorithm::kEca)},
        {"eca-key", KeyedConfig(Algorithm::kEcaKey)},
        {"self-maint", KeyedConfig(Algorithm::kSelfMaintain)}},
-      report);
+      report) && ok;
   std::cout << "(without declared FKs the complements degrade to full base "
                "mirrors — local answers\n remain total but aux rows track "
                "the base cardinality)\n";
+  if (!ok) {
+    std::cerr << "error: at least one row was not strongly consistent\n";
+  }
+  return ok;
 }
 
 namespace {
@@ -185,9 +193,9 @@ BENCHMARK(BM_SelfMaintenance)
 
 int main(int argc, char** argv) {
   wvm::bench::JsonReport report;
-  wvm::bench::PrintFigure(&report);
+  const bool ok = wvm::bench::PrintFigure(&report);
   report.WriteFileFromEnv();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -56,7 +56,7 @@ std::string Ratio(int64_t off, int64_t on) {
   return StrCat(Num(static_cast<double>(off) / static_cast<double>(on)), "x");
 }
 
-void PrintFigure(JsonReport* report) {
+bool PrintFigure(JsonReport* report) {
   PrintTableHeader(
       "Source engine: term cache + parallel batches (churn, k=24)",
       {"case", "IO off", "IO on", "speedup", "hits", "patches", "consist"});
@@ -126,8 +126,9 @@ void PrintFigure(JsonReport* report) {
                "reads are metered separately — and 'consist' checks the\n "
                "warehouse converged to the same view either way)\n";
   if (!all_ok) {
-    std::cerr << "warning: at least one cell failed or diverged\n";
+    std::cerr << "error: at least one cell failed or diverged\n";
   }
+  return all_ok;
 }
 
 void BM_SourceEngine(benchmark::State& state) {
@@ -152,9 +153,9 @@ BENCHMARK(BM_SourceEngine)->ArgNames({"engine"})->Arg(0)->Arg(1);
 
 int main(int argc, char** argv) {
   wvm::bench::JsonReport report;
-  wvm::bench::PrintFigure(&report);
+  const bool ok = wvm::bench::PrintFigure(&report);
   report.WriteFileFromEnv();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

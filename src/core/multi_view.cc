@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/strings.h"
-#include "query/compiled_plan.h"
 
 namespace wvm {
 
@@ -60,30 +59,28 @@ Status MultiViewWarehouse::Initialize(const Catalog& initial_source_state) {
     WVM_RETURN_IF_ERROR(child->Initialize(initial_source_state));
   }
   mv_ = children_.front()->view_contents();
-  if (CompiledPlansEnabled()) {
-    // Pre-warm the compiled delta plans of every distinct child view now,
-    // instead of compiling on first touch in the maintenance hot loop. A
-    // view with few relations gets all of its masks; wide views get the
-    // masks maintenance actually reaches (single-update deltas bind one
-    // position, batch inclusion-exclusion binds up to all of them).
-    std::set<const ViewDefinition*> warmed;
-    for (const std::unique_ptr<ViewMaintainer>& child : children_) {
-      const ViewDefinition* view = child->view_def().get();
-      if (!warmed.insert(view).second) {
-        continue;
+  // Pre-warm the compiled delta plans of every distinct child view now,
+  // instead of compiling on first touch in the maintenance hot loop. A
+  // view with few relations gets all of its masks; wide views get the
+  // masks maintenance actually reaches (single-update deltas bind one
+  // position, batch inclusion-exclusion binds up to all of them).
+  std::set<const ViewDefinition*> warmed;
+  for (const std::unique_ptr<ViewMaintainer>& child : children_) {
+    const ViewDefinition* view = child->view_def().get();
+    if (!warmed.insert(view).second) {
+      continue;
+    }
+    const size_t n = view->num_relations();
+    if (n <= 6) {
+      for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+        (void)view->CompiledPlanFor(mask);
       }
-      const size_t n = view->num_relations();
-      if (n <= 6) {
-        for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
-          (void)view->CompiledPlanFor(mask);
-        }
-      } else {
-        (void)view->CompiledPlanFor(0);
-        for (size_t i = 0; i < n; ++i) {
-          (void)view->CompiledPlanFor(uint64_t{1} << i);
-        }
-        (void)view->CompiledPlanFor((uint64_t{1} << n) - 1);
+    } else {
+      (void)view->CompiledPlanFor(0);
+      for (size_t i = 0; i < n; ++i) {
+        (void)view->CompiledPlanFor(uint64_t{1} << i);
       }
+      (void)view->CompiledPlanFor(~uint64_t{0} >> (64 - n));
     }
   }
   return Status::OK();

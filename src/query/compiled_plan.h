@@ -17,36 +17,16 @@
 
 namespace wvm {
 
-/// Global toggle for the compiled-plan fast path. On by default; the
-/// interpretive evaluator is kept as the differential oracle and is selected
-/// when this is off (SimulationOptions::compiled_plans, benchmarks, tests).
-bool CompiledPlansEnabled();
-void SetCompiledPlansEnabled(bool enabled);
-
-/// RAII override of the toggle, for tests and A/B benchmarks.
-class ScopedCompiledPlans {
- public:
-  explicit ScopedCompiledPlans(bool enabled)
-      : previous_(CompiledPlansEnabled()) {
-    SetCompiledPlansEnabled(enabled);
-  }
-  ~ScopedCompiledPlans() { SetCompiledPlansEnabled(previous_); }
-  ScopedCompiledPlans(const ScopedCompiledPlans&) = delete;
-  ScopedCompiledPlans& operator=(const ScopedCompiledPlans&) = delete;
-
- private:
-  bool previous_;
-};
-
 /// Bitmask of bound operand positions of a term — the shape key under which
 /// compiled plans are cached. All terms with the same view and the same set
 /// of bound positions share one plan (the bound values are runtime inputs).
-/// Only valid for views with at most 64 relations.
+/// ViewDefinition::Create rejects views over 64 relations, so every
+/// position fits.
 uint64_t TermBoundMask(const Term& term);
 
 /// One fused residual conjunct, pre-resolved to join-order column indices
 /// (or constants). Evaluated with EvalCompareOp, so semantics match the
-/// interpreted BoundPredicate walk exactly.
+/// BoundPredicate walk exactly.
 struct CompiledResidualLeaf {
   bool lhs_is_col = false;
   size_t lhs_col = 0;
@@ -84,8 +64,7 @@ struct CompiledJoinStep {
 class CompiledDeltaPlan {
  public:
   /// Compiles the plan for `bound_mask` (bit i = operand i is bound).
-  /// Fails if the view has more than 64 relations or a residual conjunct
-  /// cannot be bound.
+  /// Fails if a residual conjunct cannot be bound.
   static Result<CompiledDeltaPlan> Compile(const ViewDefinition& view,
                                            uint64_t bound_mask);
 
@@ -138,8 +117,9 @@ Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
                                      const Term& term, const Catalog& catalog);
 
 /// Executes a mask-0 `plan` over fully materialized operand relations (one
-/// per position, as handed to JoinMaterializedOperands); builds transient
-/// probe indexes instead of catalog-cached ones. No coefficient is applied.
+/// per relation position, in order, each carrying the qualified slice
+/// schema); builds transient probe indexes instead of catalog-cached ones.
+/// No coefficient is applied.
 Result<Relation> ExecuteCompiledPlanOnOperands(
     const CompiledDeltaPlan& plan, const std::vector<Relation>& operands);
 

@@ -17,40 +17,21 @@ namespace wvm {
 /// their sign, so answers to queries over deletions carry minus-signed
 /// tuples exactly as in Section 4.1.
 ///
-/// Terms are evaluated with hash joins along the view's equi-join edges
-/// (cross product only between genuinely unconnected operands), followed by
-/// the residual condition and the projection. The physical evaluator in
-/// src/source mirrors this but charges I/O; results are differential-tested
-/// against each other and against EvaluateTermNaive.
+/// Terms are evaluated by the view's cached CompiledDeltaPlan for the
+/// term's bound mask (src/query/compiled_plan.h): index probes along the
+/// view's equi-join edges, then the fused residual condition and the
+/// projection. The physical evaluator in src/source charges I/O for the same
+/// joins and is differential-tested against this evaluator, which is in turn
+/// tested against EvaluateTermNaive.
 
 /// The qualified slice of the combined schema covering relation position
 /// `i` of the view.
 Schema OperandSliceSchema(const ViewDefinition& view, size_t i);
 
-/// Joins fully materialized operands — one Relation per relation position,
-/// in order, each carrying the qualified slice schema — then applies the
-/// residual condition and the projection. Used both by the logical
-/// evaluator (whole relations) and by the physical nested-loop evaluator
-/// (per-block slices). No term coefficient is applied.
-Result<Relation> JoinMaterializedOperands(const ViewDefinition& view,
-                                          const std::vector<Relation>& operands);
-
-/// Evaluates one term, including its coefficient. Dispatches to the
-/// compiled fast path when CompiledPlansEnabled() (the default), else to
-/// the interpreted planner; both produce identical relations.
+/// Evaluates one term, including its coefficient, by executing the view's
+/// compiled delta plan for the term's bound mask over catalog-cached key
+/// indexes.
 Result<Relation> EvaluateTerm(const Term& term, const Catalog& catalog);
-
-/// The interpreted evaluator: materializes every operand and plans the
-/// hash joins per call. Kept as the differential oracle for the compiled
-/// path (and selected by EvaluateTerm when compiled plans are disabled).
-Result<Relation> EvaluateTermInterpreted(const Term& term,
-                                         const Catalog& catalog);
-
-/// The compiled fast path: executes the view's cached CompiledDeltaPlan
-/// for the term's bound mask over catalog-cached key indexes, falling back
-/// to the interpreted evaluator if the shape cannot be compiled (more than
-/// 64 relations, unbindable residual).
-Result<Relation> EvaluateTermCompiled(const Term& term, const Catalog& catalog);
 
 /// Reference implementation: full cross product, then select, then project.
 /// Exponential in relation count; for tests only.

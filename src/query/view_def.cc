@@ -48,6 +48,12 @@ Result<std::shared_ptr<const ViewDefinition>> ViewDefinition::Create(
   if (relations.empty()) {
     return Status::InvalidArgument("view must have at least one relation");
   }
+  if (relations.size() > 64) {
+    // Compiled delta plans are keyed by a 64-bit mask of bound positions.
+    return Status::InvalidArgument(
+        StrCat("view ", name, " has ", relations.size(),
+               " relations; at most 64 are supported"));
+  }
   std::set<std::string> seen;
   for (const BaseRelationDef& r : relations) {
     if (!seen.insert(r.name).second) {
@@ -171,12 +177,11 @@ Result<std::shared_ptr<const ViewDefinition>> ViewDefinition::Create(
 
   // Pre-warm the plan cache: the full-view plan (initial materialization)
   // and one single-substitution plan per relation (the shapes every delta
-  // query produced by Term::Substitute takes). Best-effort — a shape that
-  // fails to compile just falls back to the interpreted evaluator at run
-  // time, which reports the error if it is real.
-  (void)view->CompiledPlanFor(0);
-  for (size_t i = 0; i < view->relations_.size() && i < 64; ++i) {
-    (void)view->CompiledPlanFor(uint64_t{1} << i);
+  // query produced by Term::Substitute takes). A view whose plans do not
+  // compile is rejected here rather than at evaluation time.
+  WVM_RETURN_IF_ERROR(view->CompiledPlanFor(0).status());
+  for (size_t i = 0; i < view->relations_.size(); ++i) {
+    WVM_RETURN_IF_ERROR(view->CompiledPlanFor(uint64_t{1} << i).status());
   }
 
   return std::shared_ptr<const ViewDefinition>(std::move(view));
@@ -199,17 +204,6 @@ Result<std::shared_ptr<const CompiledDeltaPlan>> ViewDefinition::CompiledPlanFor
 bool ViewDefinition::HasCompiledPlanFor(uint64_t bound_mask) const {
   std::lock_guard<std::mutex> lock(plan_mu_);
   return plan_cache_.count(bound_mask) > 0;
-}
-
-void ViewDefinition::InvalidateCompiledPlans() const {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plan_cache_.clear();
-  ++plan_epoch_;
-}
-
-uint64_t ViewDefinition::compiled_plan_epoch() const {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  return plan_epoch_;
 }
 
 Result<std::shared_ptr<const ViewDefinition>> ViewDefinition::NaturalJoin(

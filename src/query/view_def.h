@@ -31,7 +31,8 @@ class CompiledDeltaPlan;
 class ViewDefinition {
  public:
   /// Builds and validates a view. `projection` and `cond` are resolved
-  /// against the combined schema. Key metadata is derived from the schemas'
+  /// against the combined schema. At most 64 base relations (compiled
+  /// delta plans key on a 64-bit bound mask). Key metadata is derived from the schemas'
   /// `is_key` flags (SchemaConstraints::FromSchemas); foreign keys cannot be
   /// expressed this way — use the overload below to declare them.
   static Result<std::shared_ptr<const ViewDefinition>> Create(
@@ -135,15 +136,6 @@ class ViewDefinition {
   Result<std::shared_ptr<const CompiledDeltaPlan>> CompiledPlanFor(
       uint64_t bound_mask) const;
 
-  /// Drops all cached plans and bumps the epoch. Must be called if anything
-  /// a plan depends on changes shape (in this codebase views are immutable,
-  /// so this exists for catalogs that re-register a view under new schemas).
-  void InvalidateCompiledPlans() const;
-
-  /// Incremented by InvalidateCompiledPlans; lets tests and catalogs detect
-  /// staleness of plans obtained earlier.
-  uint64_t compiled_plan_epoch() const;
-
   /// True when a plan for `bound_mask` is already cached (no compilation is
   /// triggered). Lets tests and the multi-view pre-warm verify coverage.
   bool HasCompiledPlanFor(uint64_t bound_mask) const;
@@ -183,7 +175,6 @@ class ViewDefinition {
   mutable std::mutex plan_mu_;
   mutable std::map<uint64_t, std::shared_ptr<const CompiledDeltaPlan>>
       plan_cache_;
-  mutable uint64_t plan_epoch_ = 0;
 };
 
 using ViewDefinitionPtr = std::shared_ptr<const ViewDefinition>;

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "relational/join_index.h"
+#include "relational/key_index.h"
 
 namespace wvm {
 
@@ -115,33 +115,33 @@ Result<Relation> NaturalJoin(const Relation& a, const Relation& b) {
   }
   Relation out(Schema(std::move(out_attrs)));
 
-  // Hash the smaller input on its shared columns; probe the larger with
-  // allocation-free key views. Output rows are a-then-b-rest either way.
+  // Hash the smaller input on its shared columns; probe the larger straight
+  // from its tuples. Output rows are a-then-b-rest either way.
   const bool build_a = a.NumDistinct() <= b.NumDistinct();
   const Relation& build = build_a ? a : b;
-  const std::vector<size_t>& build_keys = build_a ? a_shared : b_shared;
   const Relation& probe = build_a ? b : a;
   const std::vector<size_t>& probe_keys = build_a ? b_shared : a_shared;
-
-  JoinBuildIndex table(build_keys);
-  table.Reserve(build.NumDistinct());
-  for (const auto& [t, c] : build.entries()) {
-    table.Add(t, c);
-  }
+  const RelationKeyIndex index(build.shared_entries(),
+                               build_a ? a_shared : b_shared);
 
   // Pre-size the output for the expected match count: probe rows times the
-  // build side's average rows per distinct key.
-  if (!table.empty()) {
+  // build side's mean rows per key (rounded down; the map's load factor
+  // leaves headroom).
+  if (!index.empty()) {
     constexpr size_t kMaxReserve = size_t{1} << 20;
     const size_t per_key =
-        std::max<size_t>(1, table.num_rows() / table.num_keys());
+        std::max<size_t>(1, index.num_rows() / index.num_keys());
     const size_t probe_n = probe.NumDistinct();
     out.Reserve(probe_n < kMaxReserve / per_key ? probe_n * per_key
                                                 : kMaxReserve);
   }
   Relation::CountsMap& m = out.MutableEntries();
   for (const auto& [t, c] : probe.entries()) {
-    table.ForEachMatch(t, probe_keys, [&](const Tuple& bt, int64_t bc) {
+    const auto value_at = [&](size_t k) -> const Value& {
+      return t.value(probe_keys[k]);
+    };
+    const size_t h = RelationKeyIndex::ProbeHash(probe_keys.size(), value_at);
+    index.ForEachMatch(h, value_at, [&](const Tuple& bt, int64_t bc) {
       const Tuple& ta = build_a ? bt : t;
       const Tuple& tb = build_a ? t : bt;
       m.AddCount(ta.ConcatProjected(tb, b_rest), c * bc);

@@ -13,11 +13,11 @@
 namespace wvm {
 
 /// A reusable hash index over a relation's tuple storage, keyed on a fixed
-/// column list — the pre-resolved probe structure behind compiled delta
-/// plans. Unlike the per-join JoinBuildIndex (built from scratch inside one
-/// join and thrown away), a RelationKeyIndex is built once over a catalog
-/// relation and probed by every delta evaluation until the relation is next
-/// mutated; the Catalog caches them per (relation, key columns).
+/// column list — the one hash-join build structure of the codebase. Compiled
+/// delta plans probe catalog relations through it (the Catalog caches one
+/// per (relation, key columns), valid until the relation is next mutated);
+/// NaturalJoin and ExecuteCompiledPlanOnOperands build transient ones over
+/// their inputs.
 ///
 /// The index pins the underlying FlatCountsMap through a shared_ptr, so its
 /// slot pointers stay valid even if the owning Relation is mutated after the
@@ -54,6 +54,7 @@ class RelationKeyIndex {
         h = TupleHashFold(h, slot.first.value(c).Hash());
       }
       const size_t b = BucketOf(h);
+      used_buckets_ += buckets_[b] == kNil;
       entries_.push_back(Entry{h, &slot, buckets_[b]});
       buckets_[b] = static_cast<uint32_t>(entries_.size() - 1);
     }
@@ -63,17 +64,16 @@ class RelationKeyIndex {
   size_t num_rows() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Average rows per distinct bucketed hash — a cheap per-key fan-out
-  /// estimate used only for output pre-sizing.
+  /// Number of non-empty buckets: the distinct keys, up to bucket
+  /// collisions. Used only for output pre-sizing.
+  size_t num_keys() const { return used_buckets_; }
+
+  /// Rows per key, rounded up — a cheap per-key fan-out estimate used only
+  /// for output pre-sizing.
   size_t EstimatedRowsPerKey() const {
-    if (entries_.empty()) {
-      return 1;
-    }
-    size_t used = 0;
-    for (uint32_t b : buckets_) {
-      used += (b != kNil);
-    }
-    return used == 0 ? 1 : (entries_.size() + used - 1) / used;
+    return used_buckets_ == 0
+               ? 1
+               : (entries_.size() + used_buckets_ - 1) / used_buckets_;
   }
 
   /// Invokes fn(row, count) for every indexed row whose key columns equal
@@ -127,7 +127,9 @@ class RelationKeyIndex {
   static constexpr uint32_t kNil = 0xffffffffu;
   static constexpr size_t kMinBuckets = 16;
 
-  // Fibonacci bucket mapping, as in FlatCountsMap/JoinBuildIndex.
+  // Fibonacci bucket mapping, as in FlatCountsMap: key hashes of correlated
+  // values are themselves correlated, and the multiply spreads them before
+  // the power-of-two truncation.
   size_t BucketOf(size_t h) const {
     return (h * size_t{0x9e3779b97f4a7c15ULL}) >> shift_;
   }
@@ -136,6 +138,7 @@ class RelationKeyIndex {
   std::vector<size_t> key_cols_;
   std::vector<Entry> entries_;
   std::vector<uint32_t> buckets_;
+  size_t used_buckets_ = 0;
   int shift_ = 60;
 };
 

@@ -67,19 +67,13 @@ struct RecoveryOptions {
 
 /// How the source engine and the warehouse data plane execute — grouped so
 /// a benchmark or test can hand around the execution configuration as one
-/// value. Defaults match the paper's atomic single-query model with the
-/// compiled fast path on.
+/// value. Defaults match the paper's atomic single-query model.
 struct SourceEngineOptions {
   /// When set, a kSourceAnswer event drains ALL pending queries and
   /// evaluates them as one parallel batch against a storage snapshot
   /// (answers still ship in arrival order). Off by default: one query per
   /// event, exactly the paper's atomic S_qu.
   bool parallel_answers = false;
-  /// Evaluate delta queries through precompiled plans and cached key
-  /// indexes (the data-plane fast path). On by default; turning it off
-  /// selects the interpreted evaluator, which must produce bit-identical
-  /// counters and view states (differential-tested).
-  bool compiled_plans = true;
 };
 
 /// What the simulation records about its own execution. States default on

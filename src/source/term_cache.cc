@@ -147,24 +147,23 @@ Status TermCache::ApplyUpdate(const Update& u, const StorageMap& storage,
         Demote(signature, &entry, io);
       } else {
         // Pinned view: always maintained, via its compiled delta plan when
-        // available. The compiled executor reads the logical catalog (and
-        // its cached key indexes), not the blocked store, so the planner
-        // estimate stands in as its charged maintenance I/O.
+        // the logical catalog is at hand. The compiled executor reads that
+        // catalog (and its cached key indexes), not the blocked store, so
+        // the planner estimate stands in as its charged maintenance I/O.
         bool patched = false;
-        if (catalog != nullptr && CompiledPlansEnabled()) {
-          Result<std::shared_ptr<const CompiledDeltaPlan>> plan =
-              delta->view()->CompiledPlanFor(TermBoundMask(*delta));
-          if (plan.ok()) {
-            Result<Relation> d = ExecuteCompiledPlan(**plan, *delta, *catalog);
-            if (d.ok()) {
-              entry.core.Add(*d);
-              const int64_t charged =
-                  static_cast<int64_t>(std::ceil(patch_estimate));
-              ++io->term_cache_patches;
-              io->term_cache_patch_reads += charged;
-              entry.lifetime_patch_reads += charged;
-              patched = true;
-            }
+        if (catalog != nullptr) {
+          WVM_ASSIGN_OR_RETURN(
+              std::shared_ptr<const CompiledDeltaPlan> plan,
+              delta->view()->CompiledPlanFor(TermBoundMask(*delta)));
+          Result<Relation> d = ExecuteCompiledPlan(*plan, *delta, *catalog);
+          if (d.ok()) {
+            entry.core.Add(*d);
+            const int64_t charged =
+                static_cast<int64_t>(std::ceil(patch_estimate));
+            ++io->term_cache_patches;
+            io->term_cache_patch_reads += charged;
+            entry.lifetime_patch_reads += charged;
+            patched = true;
           }
         }
         if (!patched) {

@@ -1,9 +1,8 @@
 // Tests for the compiled delta-plan layer (src/query/compiled_plan.*) and
 // the columnar storage structures backing it (ColumnBlock, the
 // StoredRelation column mirror, RelationKeyIndex, the catalog's key-index
-// cache). The compiled executor must be behavior-identical to the
-// interpreted evaluator — results, error statuses, and simulation counters
-// alike — with the interpreted path kept as the differential oracle.
+// cache). The compiled executor must agree with the naive cross-product
+// oracle (EvaluateTermNaive) on results and error statuses alike.
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,8 +70,8 @@ Catalog ChainCatalog() {
 void ExpectSameRelation(const Relation& compiled, const Relation& oracle,
                         const std::string& label) {
   EXPECT_TRUE(compiled == oracle)
-      << label << "\n  compiled:    " << compiled.ToString()
-      << "\n  interpreted: " << oracle.ToString();
+      << label << "\n  compiled: " << compiled.ToString()
+      << "\n  oracle:   " << oracle.ToString();
   EXPECT_EQ(compiled.SortedEntries(), oracle.SortedEntries()) << label;
 }
 
@@ -121,20 +120,6 @@ TEST(CompiledPlanTest, PlanCacheReturnsSamePlanUntilInvalidated) {
   auto b = view->CompiledPlanFor(0);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->get(), b->get()) << "cache must hand out the same plan";
-
-  const uint64_t epoch = view->compiled_plan_epoch();
-  view->InvalidateCompiledPlans();
-  EXPECT_EQ(view->compiled_plan_epoch(), epoch + 1);
-  auto c = view->CompiledPlanFor(0);
-  ASSERT_TRUE(c.ok());
-  EXPECT_NE(a->get(), c->get()) << "invalidation must drop cached plans";
-  // The stale plan is still executable: plans hold no relation data.
-  Catalog catalog = ChainCatalog();
-  Term term = Term::FromView(view);
-  auto via_stale = ExecuteCompiledPlan(**a, term, catalog);
-  auto via_fresh = ExecuteCompiledPlan(**c, term, catalog);
-  ASSERT_TRUE(via_stale.ok() && via_fresh.ok());
-  ExpectSameRelation(*via_stale, *via_fresh, "stale vs fresh plan");
 }
 
 TEST(CompiledPlanTest, CompiledMatchesInterpretedOnChainView) {
@@ -164,50 +149,30 @@ TEST(CompiledPlanTest, CompiledMatchesInterpretedOnChainView) {
   terms.push_back(*twice);
 
   for (size_t i = 0; i < terms.size(); ++i) {
-    auto compiled = EvaluateTermCompiled(terms[i], catalog);
-    auto interpreted = EvaluateTermInterpreted(terms[i], catalog);
+    auto compiled = EvaluateTerm(terms[i], catalog);
+    auto naive = EvaluateTermNaive(terms[i], catalog);
     ASSERT_TRUE(compiled.ok()) << compiled.status();
-    ASSERT_TRUE(interpreted.ok()) << interpreted.status();
-    ExpectSameRelation(*compiled, *interpreted,
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    ExpectSameRelation(*compiled, *naive,
                        "term " + std::to_string(i) + ": " +
                            terms[i].ToString());
   }
-}
-
-TEST(CompiledPlanTest, ToggleSelectsTheSameResults) {
-  ViewDefinitionPtr view = ChainView();
-  Catalog catalog = ChainCatalog();
-  Term term = Term::FromView(view);
-
-  Relation on = [&] {
-    ScopedCompiledPlans scoped(true);
-    auto r = EvaluateTerm(term, catalog);
-    EXPECT_TRUE(r.ok()) << r.status();
-    return *r;
-  }();
-  Relation off = [&] {
-    ScopedCompiledPlans scoped(false);
-    auto r = EvaluateTerm(term, catalog);
-    EXPECT_TRUE(r.ok()) << r.status();
-    return *r;
-  }();
-  ExpectSameRelation(on, off, "EvaluateTerm with toggle on vs off");
 }
 
 TEST(CompiledPlanTest, BoundArityErrorMatchesInterpreted) {
   ViewDefinitionPtr view = ChainView();
   Catalog catalog = ChainCatalog();
   // An update whose tuple does not match the relation's arity. Substitution
-  // does not validate arity; both evaluators must reject identically.
+  // does not validate arity; compiled and naive must reject identically.
   auto term = Term::FromView(view).Substitute(
       Update::Insert("r1", Tuple::Ints({1, 2, 3})));
   ASSERT_TRUE(term.has_value());
 
-  auto compiled = EvaluateTermCompiled(*term, catalog);
-  auto interpreted = EvaluateTermInterpreted(*term, catalog);
+  auto compiled = EvaluateTerm(*term, catalog);
+  auto naive = EvaluateTermNaive(*term, catalog);
   ASSERT_FALSE(compiled.ok());
-  ASSERT_FALSE(interpreted.ok());
-  EXPECT_EQ(compiled.status().ToString(), interpreted.status().ToString());
+  ASSERT_FALSE(naive.ok());
+  EXPECT_EQ(compiled.status().ToString(), naive.status().ToString());
 }
 
 TEST(CompiledPlanTest, MissingRelationErrorMatchesInterpreted) {
@@ -219,11 +184,11 @@ TEST(CompiledPlanTest, MissingRelationErrorMatchesInterpreted) {
   ASSERT_TRUE(partial.Define(ChainDefs()[0]).ok());
   Term term = Term::FromView(view);
 
-  auto compiled = EvaluateTermCompiled(term, partial);
-  auto interpreted = EvaluateTermInterpreted(term, partial);
+  auto compiled = EvaluateTerm(term, partial);
+  auto naive = EvaluateTermNaive(term, partial);
   ASSERT_FALSE(compiled.ok());
-  ASSERT_FALSE(interpreted.ok());
-  EXPECT_EQ(compiled.status().ToString(), interpreted.status().ToString());
+  ASSERT_FALSE(naive.ok());
+  EXPECT_EQ(compiled.status().ToString(), naive.status().ToString());
 }
 
 TEST(CompiledPlanTest, ExecuteOnOperandsMatchesCatalogExecution) {
@@ -242,53 +207,39 @@ TEST(CompiledPlanTest, ExecuteOnOperandsMatchesCatalogExecution) {
   ASSERT_TRUE(on_catalog.ok()) << on_catalog.status();
   ExpectSameRelation(*on_operands, *on_catalog, "operand-relation execution");
 
-  // Wrong operand count is rejected, mirroring the interpreted join.
+  // Wrong operand count is rejected.
   operands.pop_back();
   auto bad = ExecuteCompiledPlanOnOperands(**plan, operands);
   EXPECT_FALSE(bad.ok());
 }
 
-// Counter-for-counter: a full simulation run must be bit-identical with
-// compiled plans on and off — same view contents, same M/B metering, same
-// I/O statistics, same recorded state sequences. The compiled path may only
-// change how in-memory joins are executed, never what is charged.
-TEST(CompiledPlanTest, SimulationCountersIdenticalOnAndOff) {
+// End to end through the compiled data plane (warehouse-side EvaluateTerm,
+// source-side physical evaluator): every paper example's final warehouse
+// view equals the naive oracle over the final source catalog — except the
+// basic algorithm's anomaly examples, which end at the wrong view the paper
+// derives for them.
+TEST(CompiledPlanTest, FinalViewsMatchNaiveOnPaperExamples) {
   Result<std::vector<PaperExample>> examples = AllPaperExamples();
   ASSERT_TRUE(examples.ok()) << examples.status();
   for (const PaperExample& ex : *examples) {
-    auto run = [&](bool compiled) {
-      ScopedCompiledPlans scoped(compiled);
-      Result<Algorithm> algorithm = ParseAlgorithm(ex.algorithm);
-      EXPECT_TRUE(algorithm.ok()) << algorithm.status();
-      SimulationOptions options;
-      options.engine.compiled_plans = compiled;
-      std::unique_ptr<Simulation> sim =
-          MustMakeSim(ex.initial, ex.view, *algorithm, options);
-      sim->SetUpdateScript(ex.updates);
-      ScriptedPolicy policy(ex.actions);
-      Status status = RunToQuiescence(sim.get(), &policy);
-      EXPECT_TRUE(status.ok()) << ex.name << ": " << status;
-      return sim;
-    };
-    std::unique_ptr<Simulation> on = run(true);
-    std::unique_ptr<Simulation> off = run(false);
+    Result<Algorithm> algorithm = ParseAlgorithm(ex.algorithm);
+    ASSERT_TRUE(algorithm.ok()) << algorithm.status();
+    std::unique_ptr<Simulation> sim =
+        MustMakeSim(ex.initial, ex.view, *algorithm);
+    sim->SetUpdateScript(ex.updates);
+    ScriptedPolicy policy(ex.actions);
+    Status status = RunToQuiescence(sim.get(), &policy);
+    ASSERT_TRUE(status.ok()) << ex.name << ": " << status;
 
-    ExpectSameRelation(on->warehouse_view(), off->warehouse_view(), ex.name);
-    EXPECT_EQ(on->meter().ToString(), off->meter().ToString()) << ex.name;
-    EXPECT_EQ(on->io_stats().page_reads, off->io_stats().page_reads)
-        << ex.name;
-    EXPECT_EQ(on->io_stats().index_probes, off->io_stats().index_probes)
-        << ex.name;
-    EXPECT_EQ(on->io_stats().full_scans, off->io_stats().full_scans)
-        << ex.name;
-    EXPECT_EQ(on->io_stats().terms_evaluated, off->io_stats().terms_evaluated)
-        << ex.name;
-    EXPECT_EQ(on->state_log().warehouse_view_states,
-              off->state_log().warehouse_view_states)
-        << ex.name;
-    EXPECT_EQ(on->state_log().source_view_states,
-              off->state_log().source_view_states)
-        << ex.name;
+    auto naive = EvaluateTermNaive(Term::FromView(ex.view),
+                                   sim->source_catalog());
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    ExpectSameRelation(*naive, ex.expected_correct_final, ex.name);
+    const bool anomaly =
+        !(ex.expected_algorithm_final == ex.expected_correct_final);
+    ExpectSameRelation(sim->warehouse_view(),
+                       anomaly ? ex.expected_algorithm_final : *naive,
+                       ex.name);
   }
 }
 

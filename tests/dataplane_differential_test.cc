@@ -1,6 +1,6 @@
-// Randomized differential tests for the data-plane kernels: the optimized
-// term evaluator (greedy equi-join order, build-side join index, cached
-// tuple hashes, flat counts map, residual condition) must agree exactly —
+// Randomized differential tests for the data-plane kernels: the compiled
+// term evaluator (static join order, cached key indexes, cached tuple
+// hashes, flat counts map, fused residual condition) must agree exactly —
 // as Z-relations, multiplicities included — with the naive
 // cross-product/select/project reference on randomized views, catalogs with
 // negative multiplicities, substituted (bound) operands, and both term
@@ -15,7 +15,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "query/catalog.h"
-#include "query/compiled_plan.h"
 #include "query/evaluator.h"
 #include "query/query.h"
 #include "query/term.h"
@@ -231,60 +230,9 @@ TEST(DataPlaneDifferentialTest, ParallelQueryEvaluationMatchesSerial) {
   }
 }
 
-// The compiled-plan executor is a second data plane over the same logical
-// terms; it must agree with the interpreted evaluator (itself differential
-// against the naive reference above) on the same randomized scenarios —
-// unsubstituted terms, both coefficients, and signed substitutions.
-TEST(DataPlaneDifferentialTest, CompiledMatchesInterpretedUnsubstituted) {
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    RandomScenario s = MakeScenario(seed);
-    for (int coefficient : {+1, -1}) {
-      Term term = Term::FromView(s.view);
-      term.set_coefficient(coefficient);
-      auto compiled = EvaluateTermCompiled(term, s.catalog);
-      auto interpreted = EvaluateTermInterpreted(term, s.catalog);
-      ASSERT_TRUE(compiled.ok()) << compiled.status();
-      ASSERT_TRUE(interpreted.ok()) << interpreted.status();
-      ExpectSameRelation(*compiled, *interpreted,
-                         "seed " + std::to_string(seed) + " coefficient " +
-                             std::to_string(coefficient));
-    }
-  }
-}
-
-TEST(DataPlaneDifferentialTest, CompiledMatchesInterpretedSubstituted) {
-  for (uint64_t seed = 100; seed <= 140; ++seed) {
-    RandomScenario s = MakeScenario(seed);
-    std::vector<Term> terms;
-    for (const Update& u : s.updates) {
-      auto t = Term::FromView(s.view).Substitute(u);
-      if (t.has_value()) {
-        terms.push_back(*std::move(t));
-      }
-    }
-    if (s.updates.size() >= 2) {
-      auto once = Term::FromView(s.view).Substitute(s.updates[0]);
-      ASSERT_TRUE(once.has_value());
-      auto twice = once->Substitute(s.updates[1]);
-      if (twice.has_value()) {
-        twice->set_coefficient(-1);
-        terms.push_back(*std::move(twice));
-      }
-    }
-    for (size_t i = 0; i < terms.size(); ++i) {
-      auto compiled = EvaluateTermCompiled(terms[i], s.catalog);
-      auto interpreted = EvaluateTermInterpreted(terms[i], s.catalog);
-      ASSERT_TRUE(compiled.ok()) << compiled.status();
-      ASSERT_TRUE(interpreted.ok()) << interpreted.status();
-      ExpectSameRelation(*compiled, *interpreted,
-                         "seed " + std::to_string(seed) + " term " +
-                             std::to_string(i) + ": " + terms[i].ToString());
-    }
-  }
-}
-
-// Empty deltas: an update that matches nothing still flows through both
-// executors and yields the same (empty) Z-relation.
+// Empty deltas: an update that matches nothing still flows through the
+// compiled executor and the naive oracle and yields the same (empty)
+// Z-relation.
 TEST(DataPlaneDifferentialTest, CompiledMatchesInterpretedOnEmptyCatalogs) {
   for (uint64_t seed = 300; seed <= 310; ++seed) {
     RandomScenario s = MakeScenario(seed);
@@ -293,11 +241,11 @@ TEST(DataPlaneDifferentialTest, CompiledMatchesInterpretedOnEmptyCatalogs) {
       ASSERT_TRUE(empty.Define(def).ok());
     }
     Term term = Term::FromView(s.view);
-    auto compiled = EvaluateTermCompiled(term, empty);
-    auto interpreted = EvaluateTermInterpreted(term, empty);
+    auto compiled = EvaluateTerm(term, empty);
+    auto naive = EvaluateTermNaive(term, empty);
     ASSERT_TRUE(compiled.ok()) << compiled.status();
-    ASSERT_TRUE(interpreted.ok()) << interpreted.status();
-    ExpectSameRelation(*compiled, *interpreted,
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    ExpectSameRelation(*compiled, *naive,
                        "seed " + std::to_string(seed) + " empty catalog");
     EXPECT_EQ(compiled->NumDistinct(), 0u);
   }

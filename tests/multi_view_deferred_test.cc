@@ -7,7 +7,6 @@
 #include "core/eca.h"
 #include "core/eca_batch.h"
 #include "core/multi_view.h"
-#include "query/compiled_plan.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -283,7 +282,6 @@ TEST(SharedPlanPrewarmTest, InitializeCompilesEveryChildMask) {
   // multi-view Initialize pre-warms the REST of each child view's masks, so
   // the maintenance loop (including batch inclusion-exclusion shapes) never
   // compiles on first touch.
-  ScopedCompiledPlans plans(true);
   TwoViewFixture f = TwoViewFixture::Make();
   EXPECT_FALSE(f.v1->HasCompiledPlanFor(0b11));
   EXPECT_FALSE(f.v2->HasCompiledPlanFor(0b11));

@@ -1,6 +1,12 @@
 #include "query/view_def.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "query/catalog.h"
+#include "query/evaluator.h"
+#include "query/term.h"
 
 namespace wvm {
 namespace {
@@ -52,6 +58,51 @@ TEST(ViewDefinitionTest, RejectsEmptyRelationList) {
   EXPECT_EQ(
       ViewDefinition::Create("V", {}, {}, Predicate()).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+// r0(a0,a1) |><| r1(a1,a2) |><| ... : an n-relation natural-join chain.
+std::vector<BaseRelationDef> WideChainDefs(size_t n) {
+  std::vector<BaseRelationDef> defs;
+  for (size_t i = 0; i < n; ++i) {
+    defs.push_back({"r" + std::to_string(i),
+                    Schema::Ints({"a" + std::to_string(i),
+                                  "a" + std::to_string(i + 1)})});
+  }
+  return defs;
+}
+
+TEST(ViewDefinitionTest, AtMostSixtyFourRelations) {
+  Result<ViewDefinitionPtr> too_wide =
+      ViewDefinition::NaturalJoin("V", WideChainDefs(65), {"a0"});
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_wide.status().ToString().find("at most 64"),
+            std::string::npos)
+      << too_wide.status();
+
+  Result<ViewDefinitionPtr> widest =
+      ViewDefinition::NaturalJoin("V", WideChainDefs(64), {"a0", "a64"});
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_EQ((*widest)->num_relations(), 64u);
+
+  // A delta term bound at the last position (bit 63 of the plan mask)
+  // evaluates like the naive oracle over a chain of singletons.
+  Catalog catalog;
+  for (size_t i = 0; i < 64; ++i) {
+    const BaseRelationDef& def = (*widest)->relations()[i];
+    ASSERT_TRUE(catalog.Define(def).ok());
+    const int64_t v = static_cast<int64_t>(i);
+    ASSERT_TRUE(catalog.Apply(Update::Insert(def.name, Tuple::Ints({v, v + 1})))
+                    .ok());
+  }
+  auto term = Term::FromView(*widest).Substitute(
+      Update::Delete("r63", Tuple::Ints({63, 64})));
+  ASSERT_TRUE(term.has_value());
+  auto compiled = EvaluateTerm(*term, catalog);
+  auto naive = EvaluateTermNaive(*term, catalog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  EXPECT_TRUE(*compiled == *naive) << compiled->ToString();
+  EXPECT_EQ(compiled->CountOf(Tuple::Ints({0, 64})), -1);
 }
 
 TEST(ViewDefinitionTest, RejectsUnknownProjection) {
