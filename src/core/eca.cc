@@ -47,30 +47,23 @@ Status Eca::SendAndTrack(Query q, WarehouseContext* ctx) {
   if (q.empty()) {
     return Status::OK();
   }
-  // Split off fully-bound terms: their value is a pure function of the
-  // bound tuples, so the warehouse evaluates them itself and only the
-  // state-dependent remainder travels to the source.
-  Query remote(q.id(), q.update_id(), {});
-  Relation local_delta(collect_.schema());
+  // Fully-bound terms are a pure function of their bound tuples, so the
+  // warehouse evaluates them itself, gathering straight into COLLECT (MV
+  // under the apply-immediately ablation); only the state-dependent
+  // remainder travels to the source.
+  Relation* target = options_.apply_immediately ? &mv_ : &collect_;
+  FullyBoundFolder folder;
   for (const Term& t : q.terms()) {
-    if (t.NumBound() == t.view()->num_relations()) {
-      WVM_ASSIGN_OR_RETURN(Relation part, EvaluateTerm(t, Catalog()));
-      local_delta.Add(part);
-    } else {
-      remote.AddTerm(t);
+    if (t.IsFullyBound()) {
+      WVM_RETURN_IF_ERROR(folder.Fold(t, target));
     }
   }
-
-  if (options_.apply_immediately) {
-    mv_.Add(local_delta);
-  } else {
-    collect_.Add(local_delta);
-  }
+  // UQS keeps the same remainder: the folded terms vanish under every later
+  // substitution, and the remainder's NumTerms() still counts them.
+  Query remote = std::move(q).Remainder();
   if (!remote.empty()) {
-    // UQS keeps the FULL query: compensation substitutes into all terms
-    // (substituting into an already fully-bound term vanishes anyway).
-    uqs_.emplace(q.id(), std::move(q));
-    ctx->SendQuery(std::move(remote));
+    ctx->SendQuery(Query(remote.id(), remote.update_id(), remote.terms()));
+    uqs_.emplace(remote.id(), std::move(remote));
   } else if (!options_.apply_immediately) {
     MaybeInstall();
   }

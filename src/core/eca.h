@@ -54,7 +54,9 @@ class Eca : public ViewMaintainer {
   bool IsQuiescent() const override { return uqs_.empty(); }
 
   /// The current unanswered query set, keyed by query id (exposed for
-  /// tests that assert UQS evolution against the paper's examples).
+  /// tests that assert UQS evolution against the paper's examples). Each
+  /// entry holds the terms that were shipped; NumTerms() also counts the
+  /// fully-bound terms folded into COLLECT when the query was built.
   const std::map<uint64_t, Query>& uqs() const { return uqs_; }
   /// The COLLECT relation.
   const Relation& collect() const { return collect_; }
@@ -80,8 +82,8 @@ class Eca : public ViewMaintainer {
   /// depend on source state — Appendix D: "no compensating query needs to
   /// be sent since all data needed is already at the warehouse"), folds
   /// them into COLLECT, sends the remaining terms to the source, and
-  /// registers the full query in UQS for future compensation. Installs
-  /// COLLECT if nothing remains in flight.
+  /// registers that remainder (Query::Remainder) in UQS for future
+  /// compensation. Installs COLLECT if nothing remains in flight.
   Status SendAndTrack(Query q, WarehouseContext* ctx);
 
   /// Installs COLLECT into MV when UQS is empty.

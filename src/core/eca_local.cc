@@ -22,10 +22,10 @@ Status EcaLocal::OnUpdate(const Update& u, WarehouseContext* ctx) {
     // substituted term against an empty catalog (no unbound operand).
     ++local_updates_;
     std::optional<Term> term = ViewSubstituted(u);
-    WVM_ASSIGN_OR_RETURN(Relation delta, EvaluateTerm(*term, Catalog()));
     PendingOp op;
     op.kind = PendingOp::Kind::kDelta;
-    op.delta = std::move(delta);
+    op.delta = Relation(view_->output_schema());
+    WVM_RETURN_IF_ERROR(FullyBoundFolder().Fold(*term, &op.delta));
     pending_.emplace(u.id, std::move(op));
     ApplyAndMaybeInstall();
     return Status::OK();
@@ -55,26 +55,26 @@ Status EcaLocal::OnUpdate(const Update& u, WarehouseContext* ctx) {
 
   // Fully-bound terms are state-independent: fold them into their target
   // delta right away instead of shipping them (same optimization as ECA).
-  Query remote(q.id(), q.update_id(), {});
+  FullyBoundFolder folder;
   for (const Term& t : q.terms()) {
     auto it = pending_.find(t.delta_update_id());
     if (it == pending_.end()) {
       return Status::Internal("compensating term tags unknown update");
     }
-    if (t.NumBound() == view_->num_relations()) {
-      WVM_ASSIGN_OR_RETURN(Relation part, EvaluateTerm(t, Catalog()));
-      it->second.delta.Add(part);
+    if (t.IsFullyBound()) {
+      WVM_RETURN_IF_ERROR(folder.Fold(t, &it->second.delta));
     } else {
       ++it->second.open_terms;
-      remote.AddTerm(t);
     }
   }
+  // As in ECA, UQS keeps only the shipped remainder.
+  Query remote = std::move(q).Remainder();
   if (remote.empty()) {
     ApplyAndMaybeInstall();
     return Status::OK();
   }
-  uqs_.emplace(q.id(), std::move(q));
-  ctx->SendQuery(std::move(remote));
+  ctx->SendQuery(Query(remote.id(), remote.update_id(), remote.terms()));
+  uqs_.emplace(remote.id(), std::move(remote));
   return Status::OK();
 }
 

@@ -54,6 +54,9 @@ class EcaLocal : public ViewMaintainer {
   int64_t local_updates() const { return local_updates_; }
   int64_t remote_updates() const { return remote_updates_; }
 
+  /// The unanswered query set: the shipped remainder of each query.
+  const std::map<uint64_t, Query>& uqs() const { return uqs_; }
+
   std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
   Status RestoreState(const MaintainerSnapshot& snapshot) override;
   void LoseVolatileState() override;

@@ -24,8 +24,12 @@ Status Lca::OnUpdate(const Update& u, WarehouseContext* ctx) {
     }
     ++it->second.open_terms;
   }
-  uqs_.emplace(q.id(), q);
-  ctx->SendQuery(std::move(q));
+  // The source answers every term, fully-bound ones included, so each
+  // per-update delta arrives whole; UQS keeps only the remainder that later
+  // substitutions can still reach.
+  ctx->SendQuery(q);
+  const uint64_t id = q.id();
+  uqs_.emplace(id, std::move(q).Remainder());
   return Status::OK();
 }
 

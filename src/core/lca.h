@@ -46,6 +46,10 @@ class Lca : public ViewMaintainer {
     return uqs_.empty() && pending_.empty();
   }
 
+  /// The unanswered query set: each query without its fully-bound terms,
+  /// which the source answers but no later substitution can reach.
+  const std::map<uint64_t, Query>& uqs() const { return uqs_; }
+
  private:
   struct PendingDelta {
     Relation delta;

@@ -480,10 +480,10 @@ Status SelfMaintainer::ProcessWithComplements(Query q, WarehouseContext* ctx,
   }
   Query remote(q.id(), q.update_id(), {});
   Relation local_delta(collect_.schema());
+  FullyBoundFolder folder;
   for (const Term& t : q.terms()) {
-    if (t.NumBound() == t.view()->num_relations()) {
-      WVM_ASSIGN_OR_RETURN(Relation part, EvaluateTerm(t, Catalog()));
-      local_delta.Add(part);
+    if (t.IsFullyBound()) {
+      WVM_RETURN_IF_ERROR(folder.Fold(t, &local_delta));
       continue;
     }
     TermProof proof = TermProof::kUnproven;

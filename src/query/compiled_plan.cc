@@ -212,17 +212,17 @@ void BoundStep(const ColumnBlock& acc, const CompiledJoinStep& step,
   }
 }
 
-// Residual filter + projection + scale, fused into the final gather.
-Relation GatherFiltered(const ColumnBlock& acc, const CompiledDeltaPlan& plan,
-                        int64_t scale) {
-  Relation out(plan.output_schema());
+// Residual filter + projection + scale, fused into the final gather, which
+// adds each surviving row into `out`.
+void GatherFiltered(const ColumnBlock& acc, const CompiledDeltaPlan& plan,
+                    int64_t scale, Relation* out) {
   if (acc.empty() || scale == 0) {
-    return out;
+    return;
   }
   const std::vector<CompiledResidualLeaf>& residual = plan.residual();
   const std::vector<size_t>& out_cols = plan.output_cols();
-  Relation::CountsMap& m = out.MutableEntries();
-  m.reserve(acc.rows());
+  Relation::CountsMap& m = out->MutableEntries();
+  m.reserve(m.size() + acc.rows());
   std::vector<Value> out_row(out_cols.size());
   std::vector<Value> full_row;
   if (plan.uses_fallback_residual()) {
@@ -255,7 +255,6 @@ Relation GatherFiltered(const ColumnBlock& acc, const CompiledDeltaPlan& plan,
     }
     m.AddCount(Tuple(out_row), acc.count(i) * scale);
   }
-  return out;
 }
 
 // Mirrors the naive evaluator's arity check (and its error text) for bound
@@ -281,9 +280,8 @@ size_t ReserveFor(size_t rows, size_t per_key) {
 
 }  // namespace
 
-Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
-                                     const Term& term,
-                                     const Catalog& catalog) {
+Status ExecuteCompiledPlanInto(const CompiledDeltaPlan& plan, const Term& term,
+                               const Catalog& catalog, Relation* out) {
   // Validate every operand up front (the naive oracle materializes all
   // operands before joining, so a bad bound tuple or a missing relation must
   // error even when an earlier join step already produced nothing).
@@ -328,7 +326,16 @@ Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
     acc = std::move(next);
   }
 
-  return GatherFiltered(acc, plan, term.coefficient());
+  GatherFiltered(acc, plan, term.coefficient(), out);
+  return Status::OK();
+}
+
+Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
+                                     const Term& term,
+                                     const Catalog& catalog) {
+  Relation out(plan.output_schema());
+  WVM_RETURN_IF_ERROR(ExecuteCompiledPlanInto(plan, term, catalog, &out));
+  return out;
 }
 
 Result<Relation> ExecuteCompiledPlanOnOperands(
@@ -351,7 +358,9 @@ Result<Relation> ExecuteCompiledPlanOnOperands(
     ProbeStep(acc, step, index, &next);
     acc = std::move(next);
   }
-  return GatherFiltered(acc, plan, /*scale=*/1);
+  Relation out(plan.output_schema());
+  GatherFiltered(acc, plan, /*scale=*/1, &out);
+  return out;
 }
 
 }  // namespace wvm

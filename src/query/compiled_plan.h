@@ -86,9 +86,9 @@ class CompiledDeltaPlan {
   const Schema& output_schema() const { return output_schema_; }
 
  private:
-  friend Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
-                                              const Term& term,
-                                              const Catalog& catalog);
+  friend Status ExecuteCompiledPlanInto(const CompiledDeltaPlan& plan,
+                                        const Term& term,
+                                        const Catalog& catalog, Relation* out);
   friend Result<Relation> ExecuteCompiledPlanOnOperands(
       const CompiledDeltaPlan& plan, const std::vector<Relation>& operands);
 
@@ -111,8 +111,17 @@ class CompiledDeltaPlan {
 };
 
 /// Executes `plan` for `term` against `catalog` using cached relation key
-/// indexes, applying the term's coefficient. The plan must have been
-/// compiled for `term`'s view and bound mask.
+/// indexes, applying the term's coefficient, and adds the result into
+/// `*out`: the final gather writes straight into out's tuple map, so callers
+/// summing many terms (COLLECT, a per-update delta) build no per-term
+/// relation. `out` must have the plan's output width. The plan must have
+/// been compiled for `term`'s view and bound mask. On error `*out` is
+/// unchanged.
+Status ExecuteCompiledPlanInto(const CompiledDeltaPlan& plan, const Term& term,
+                               const Catalog& catalog, Relation* out);
+
+/// ExecuteCompiledPlanInto over a fresh relation with the plan's output
+/// schema.
 Result<Relation> ExecuteCompiledPlan(const CompiledDeltaPlan& plan,
                                      const Term& term, const Catalog& catalog);
 

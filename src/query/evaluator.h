@@ -1,6 +1,7 @@
 #ifndef WVM_QUERY_EVALUATOR_H_
 #define WVM_QUERY_EVALUATOR_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -22,7 +23,10 @@ namespace wvm {
 /// view's equi-join edges, then the fused residual condition and the
 /// projection. The physical evaluator in src/source charges I/O for the same
 /// joins and is differential-tested against this evaluator, which is in turn
-/// tested against EvaluateTermNaive.
+/// tested against the cross-product oracle EvaluateTermNaive
+/// (tests/naive_oracle.h).
+
+class CompiledDeltaPlan;
 
 /// The qualified slice of the combined schema covering relation position
 /// `i` of the view.
@@ -33,9 +37,21 @@ Schema OperandSliceSchema(const ViewDefinition& view, size_t i);
 /// indexes.
 Result<Relation> EvaluateTerm(const Term& term, const Catalog& catalog);
 
-/// Reference implementation: full cross product, then select, then project.
-/// Exponential in relation count; for tests only.
-Result<Relation> EvaluateTermNaive(const Term& term, const Catalog& catalog);
+/// Adds the values of fully-bound terms into one relation. A fully-bound
+/// term reads no base relation (Appendix D: "all data needed is already at
+/// the warehouse"), so it needs no catalog. The folder looks the view's
+/// all-bound plan up once per run of terms over the same view and runs the
+/// compiled executor with its gather writing straight into the target.
+class FullyBoundFolder {
+ public:
+  /// Adds `term`'s value, coefficient included, into `*out`. `term` must be
+  /// fully bound and `out` must have the view's output width.
+  Status Fold(const Term& term, Relation* out);
+
+ private:
+  ViewDefinitionPtr view_;
+  std::shared_ptr<const CompiledDeltaPlan> plan_;
+};
 
 /// Sum of all term results.
 Result<Relation> EvaluateQuery(const Query& query, const Catalog& catalog);

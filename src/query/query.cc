@@ -1,23 +1,49 @@
 #include "query/query.h"
 
+#include <utility>
+
 #include "common/strings.h"
 
 namespace wvm {
 
-void Query::SubtractTerms(const Query& other) {
-  for (const Term& t : other.terms_) {
-    terms_.push_back(t.Negated());
+void Query::SubtractTerms(Query other) {
+  terms_.reserve(terms_.size() + other.terms_.size());
+  for (Term& t : other.terms_) {
+    t.set_coefficient(-t.coefficient());
+    terms_.push_back(std::move(t));
   }
 }
 
 Query Query::Substitute(const Update& u) const {
-  Query out;
-  out.id_ = id_;
-  out.update_id_ = update_id_;
+  Query out(id_, update_id_, {});
+  const ViewDefinition* view = nullptr;
+  std::optional<size_t> position;
   for (const Term& t : terms_) {
-    std::optional<Term> substituted = t.Substitute(u);
-    if (substituted.has_value()) {
-      out.terms_.push_back(std::move(*substituted));
+    if (t.view().get() != view) {
+      view = t.view().get();
+      // A view that does not mention U's relation leaves no position to
+      // bind: T<U> = empty (Lemma B.2).
+      Result<size_t> index = view->RelationIndex(u.relation);
+      position = index.ok() ? std::optional<size_t>(*index) : std::nullopt;
+    }
+    if (position.has_value() && !t.operands()[*position].is_bound) {
+      out.terms_.push_back(t.BoundAt(*position, u));
+    }
+  }
+  return out;
+}
+
+Query Query::Remainder() && {
+  // Move the kept terms into a fresh vector rather than erasing in place:
+  // UQS holds the result for a long time, and an erased vector would keep
+  // the whole query's capacity.
+  Query out(id_, update_id_, {});
+  out.num_folded_ = num_folded_;
+  for (Term& t : terms_) {
+    if (t.IsFullyBound()) {
+      ++out.num_folded_;
+    } else {
+      out.terms_.push_back(std::move(t));
     }
   }
   return out;
@@ -41,7 +67,7 @@ void ExpandTerm(const Term& term, const std::vector<Update>& batch, size_t i,
   std::optional<Term> substituted = term.Substitute(batch[i]);
   if (substituted.has_value()) {
     if (any_substituted) {
-      *substituted = substituted->Negated();
+      substituted->set_coefficient(-substituted->coefficient());
     }
     ExpandTerm(*substituted, batch, i + 1, /*any_substituted=*/true, out);
   }

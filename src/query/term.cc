@@ -56,9 +56,13 @@ std::optional<Term> Term::Substitute(const Update& u) const {
     // T<U> = empty when ~rk is already an updated tuple (Section 4.2).
     return std::nullopt;
   }
+  return BoundAt(*index, u);
+}
+
+Term Term::BoundAt(size_t position, const Update& u) const {
   Term out = *this;
-  out.operands_[*index].is_bound = true;
-  out.operands_[*index].bound = SignedTuple{u.tuple, u.sign()};
+  out.operands_[position].is_bound = true;
+  out.operands_[position].bound = SignedTuple{u.tuple, u.sign()};
   return out;
 }
 

@@ -67,14 +67,26 @@ class Term {
   /// returned term keeps this term's coefficient and delta tag.
   std::optional<Term> Substitute(const Update& u) const;
 
+  /// Substitute() with U's relation position already resolved: a copy with
+  /// operand `position` bound to tuple(U), signed by the update kind. The
+  /// position must be unbound. Query::Substitute resolves the position once
+  /// per view and calls this for every term still open there.
+  Term BoundAt(size_t position, const Update& u) const;
+
   /// True if no position is bound (the full view expression).
   bool IsUnsubstituted() const;
+
+  /// True if every position is bound: the term's value is a function of its
+  /// bound tuples alone, and every further substitution into it vanishes.
+  bool IsFullyBound() const { return NumBound() == operands_.size(); }
 
   /// Number of bound positions.
   size_t NumBound() const;
 
-  /// Upper bound on the bytes a source must ship to answer this term alone;
-  /// used only for diagnostics.
+  /// Paper-style rendering of the term, e.g. "-pi_{W,Z}(sigma(r1 x [2,3]))":
+  /// a leading '-' for a negative coefficient (and "n*" when its magnitude
+  /// n is not 1), the projected attribute names, then one factor per operand
+  /// position: the base relation's name, or the bound signed tuple.
   std::string ToString() const;
 
  private:

@@ -11,6 +11,7 @@
 
 #include "query/catalog.h"
 #include "query/compiled_plan.h"
+#include "naive_oracle.h"
 #include "query/evaluator.h"
 #include "query/term.h"
 #include "query/view_def.h"

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "query/catalog.h"
+#include "naive_oracle.h"
 #include "query/evaluator.h"
 #include "query/query.h"
 #include "query/term.h"

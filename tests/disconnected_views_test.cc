@@ -4,6 +4,7 @@
 // path.
 #include <gtest/gtest.h>
 
+#include "naive_oracle.h"
 #include "query/evaluator.h"
 #include "source/source.h"
 #include "test_util.h"

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "naive_oracle.h"
 #include "query/catalog.h"
 #include "workload/generator.h"
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "naive_oracle.h"
 #include "query/catalog.h"
 #include "query/evaluator.h"
 #include "query/term.h"
