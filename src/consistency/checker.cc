@@ -1,37 +1,62 @@
 #include "consistency/checker.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace wvm {
 
 namespace {
 
-// Greedy order-preserving match of `needles` into `haystack`: each needle
-// must equal some haystack element at an index no smaller than the previous
-// match (indices may repeat only by moving forward, never backward).
-// Returns the index of the first unmatched needle, or -1 if all match.
-// Greedy earliest-match is optimal for this subsequence-with-equality test.
-int FirstUnmatched(const std::vector<Relation>& needles,
-                   const std::vector<Relation>& haystack,
-                   bool allow_same_index) {
-  size_t h = 0;
-  bool first = true;
+// Greedy order-preserving match of `needles` into `haystack`, both given
+// as state class ids: each needle must equal some haystack element at an
+// index no smaller than the previous match (indices may repeat only by
+// moving forward, never backward). Returns the index of the first
+// unmatched needle, or -1 if all match. Greedy earliest-match is optimal
+// for this subsequence-with-equality test; listing each class's haystack
+// positions makes every next match one binary search.
+int FirstUnmatched(const std::vector<int>& needles,
+                   const std::vector<int>& haystack, bool allow_same_index,
+                   size_t num_classes) {
+  std::vector<std::vector<size_t>> positions(num_classes);
+  for (size_t i = 0; i < haystack.size(); ++i) {
+    positions[static_cast<size_t>(haystack[i])].push_back(i);
+  }
+  size_t start = 0;
   for (size_t n = 0; n < needles.size(); ++n) {
-    size_t start = first ? 0 : (allow_same_index ? h : h + 1);
-    bool found = false;
-    for (size_t i = start; i < haystack.size(); ++i) {
-      if (haystack[i] == needles[n]) {
-        h = i;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const std::vector<size_t>& at = positions[static_cast<size_t>(needles[n])];
+    auto match = std::lower_bound(at.begin(), at.end(), start);
+    if (match == at.end()) {
       return static_cast<int>(n);
     }
-    first = false;
+    start = allow_same_index ? *match : *match + 1;
   }
   return -1;
+}
+
+std::vector<int> ClassIds(const std::vector<Relation>& states,
+                          StateClasses* classes) {
+  std::vector<int> ids(states.size());
+  for (size_t i = 0; i < states.size(); ++i) {
+    ids[i] = classes->Classify(states[i]);
+  }
+  return ids;
+}
+
+// StateLog::Dedup over class ids: the first id of each run of equal ones.
+// `kept`, if given, receives the position in `ids` of each id kept.
+std::vector<int> Dedup(const std::vector<int>& ids,
+                       std::vector<size_t>* kept = nullptr) {
+  std::vector<int> out;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (out.empty() || out.back() != ids[i]) {
+      out.push_back(ids[i]);
+      if (kept != nullptr) {
+        kept->push_back(i);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -39,36 +64,43 @@ int FirstUnmatched(const std::vector<Relation>& needles,
 ConsistencyReport CheckConsistency(const StateLog& log) {
   ConsistencyReport report;
   const std::vector<Relation>& src = log.source_view_states;
-  const std::vector<Relation> wh = StateLog::Dedup(log.warehouse_view_states);
+  const std::vector<Relation>& wh_log = log.warehouse_view_states;
 
-  if (src.empty() || wh.empty()) {
+  if (src.empty() || wh_log.empty()) {
     report.violation = "empty execution";
     return report;
   }
 
+  // Every level compares states only for equality, so the checks run over
+  // class ids. Source states are classified first: a class id below
+  // `source_classes` is exactly "equals some source state".
+  StateClasses classes;
+  const std::vector<int> src_ids = ClassIds(src, &classes);
+  const size_t source_classes = classes.size();
+  // The deduplicated warehouse sequence; wh[k] is the class of
+  // wh_log[wh_at[k]].
+  std::vector<size_t> wh_at;
+  const std::vector<int> wh = Dedup(ClassIds(wh_log, &classes), &wh_at);
+  const auto wh_state = [&](size_t k) -> const Relation& {
+    return wh_log[wh_at[k]];
+  };
+
   // Convergence.
-  report.convergent = src.back() == wh.back();
+  report.convergent = src_ids.back() == wh.back();
   if (!report.convergent) {
-    report.violation =
-        StrCat("not convergent: final warehouse state ", wh.back().ToString(),
-               " != final source state ", src.back().ToString());
+    report.violation = StrCat("not convergent: final warehouse state ",
+                              wh_state(wh.size() - 1).ToString(),
+                              " != final source state ", src.back().ToString());
   }
 
   // Weak consistency: every warehouse state is some source state.
   report.weakly_consistent = true;
   for (size_t i = 0; i < wh.size(); ++i) {
-    bool found = false;
-    for (const Relation& s : src) {
-      if (s == wh[i]) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (static_cast<size_t>(wh[i]) >= source_classes) {
       report.weakly_consistent = false;
       if (report.violation.empty()) {
         report.violation = StrCat("not weakly consistent: warehouse state ",
-                                  wh[i].ToString(),
+                                  wh_state(i).ToString(),
                                   " matches no source state");
       }
       break;
@@ -77,12 +109,13 @@ ConsistencyReport CheckConsistency(const StateLog& log) {
 
   // Consistency: order-preserving mapping into the source sequence.
   if (report.weakly_consistent) {
-    int miss = FirstUnmatched(wh, src, /*allow_same_index=*/true);
+    int miss = FirstUnmatched(wh, src_ids, /*allow_same_index=*/true,
+                              classes.size());
     report.consistent = miss < 0;
     if (!report.consistent && report.violation.empty()) {
       report.violation =
           StrCat("not consistent: warehouse state #", miss, " (",
-                 wh[static_cast<size_t>(miss)].ToString(),
+                 wh_state(static_cast<size_t>(miss)).ToString(),
                  ") breaks source-state order");
     }
   }
@@ -92,8 +125,9 @@ ConsistencyReport CheckConsistency(const StateLog& log) {
   // Completeness: additionally, every (deduplicated) source state shows up
   // at the warehouse, in order.
   if (report.strongly_consistent) {
-    const std::vector<Relation> src_d = StateLog::Dedup(src);
-    int miss = FirstUnmatched(src_d, wh, /*allow_same_index=*/false);
+    const std::vector<int> src_d = Dedup(src_ids);
+    int miss = FirstUnmatched(src_d, wh, /*allow_same_index=*/false,
+                              classes.size());
     report.complete = miss < 0;
     if (!report.complete && report.violation.empty()) {
       report.violation = StrCat("not complete: source state #", miss,

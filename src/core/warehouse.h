@@ -39,7 +39,9 @@ class WarehouseContext {
 /// restored after a crash. The base carries what every maintainer has — the
 /// materialized view — and each algorithm subclasses it with its own
 /// bookkeeping (UQS, COLLECT progress, pending buffers). Relations are
-/// copy-on-write underneath, so snapshots are cheap to take and hold.
+/// copy-on-write underneath, so taking a snapshot copies no tuple; but
+/// while a snapshot is held, the next mutation of a relation it shares
+/// (the next install into MV) clones that whole relation first.
 struct MaintainerSnapshot {
   virtual ~MaintainerSnapshot() = default;
   Relation mv;

@@ -31,8 +31,20 @@ Status MsEca::OnUpdate(size_t source, const Update& u, MsContext* ctx) {
     }
   }
 
-  // Which relations must be fetched, grouped by owning source. Fully-bound
-  // terms need nothing.
+  // Fully-bound terms are a pure function of their bound tuples: fold them
+  // into COLLECT now, as Eca::SendAndTrack does. Install still waits for
+  // pending_ to empty, so COLLECT at install time is unchanged. Only the
+  // remainder is fetched for and kept for later compensation: every later
+  // substitution into a fully-bound term vanishes.
+  FullyBoundFolder folder;
+  for (const Term& t : q.terms()) {
+    if (t.IsFullyBound()) {
+      WVM_RETURN_IF_ERROR(folder.Fold(t, &collect_));
+    }
+  }
+  q = std::move(q).Remainder();
+
+  // Which relations must be fetched, grouped by owning source.
   std::map<size_t, std::set<std::string>> needed;
   for (const Term& t : q.terms()) {
     const ViewDefinition& view = *t.view();
@@ -46,11 +58,15 @@ Status MsEca::OnUpdate(size_t source, const Update& u, MsContext* ctx) {
     }
   }
 
+  if (needed.empty()) {
+    MaybeInstall();  // nothing left to fetch
+    return Status::OK();
+  }
   PendingQuery pending;
-  pending.query = q;
+  pending.query = std::move(q);
   for (const auto& [owner, names] : needed) {
     FragmentRequest request;
-    request.query_id = q.id();
+    request.query_id = pending.query.id();
     request.relations.assign(names.begin(), names.end());
     for (const std::string& n : names) {
       pending.missing.insert(n);
@@ -58,14 +74,8 @@ Status MsEca::OnUpdate(size_t source, const Update& u, MsContext* ctx) {
     pending.awaiting_source.insert(owner);
     ctx->RequestFragments(owner, std::move(request));
   }
-
-  if (pending.missing.empty()) {
-    // Fully bound: evaluate right away.
-    WVM_RETURN_IF_ERROR(Fold(&pending));
-    MaybeInstall();
-    return Status::OK();
-  }
-  pending_.emplace(q.id(), std::move(pending));
+  const uint64_t id = pending.query.id();
+  pending_.emplace(id, std::move(pending));
   return Status::OK();
 }
 

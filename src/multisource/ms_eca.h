@@ -21,7 +21,8 @@ namespace wvm {
 ///   2. fetch, from each source owning an unbound relation of Q, an atomic
 ///      snapshot of those relations;
 ///   3. when all fragments arrive, evaluate Q at the warehouse and fold
-///      into COLLECT; install when no query is in flight.
+///      into COLLECT (fully-bound terms need no fragment and fold at once);
+///      install when no query is in flight.
 ///
 /// What survives, empirically (see tests/multisource_test.cc):
 ///

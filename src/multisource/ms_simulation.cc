@@ -189,8 +189,8 @@ Result<std::unique_ptr<MsSimulation>> MsSimulation::Create(
   }
 
   WVM_RETURN_IF_ERROR(sim->maintainer_->Initialize(sim->merged_));
-  WVM_ASSIGN_OR_RETURN(Relation v0, sim->GlobalViewNow());
-  sim->state_log_.RecordSourceState(std::move(v0));
+  WVM_ASSIGN_OR_RETURN(sim->global_view_, sim->GlobalViewNow());
+  sim->state_log_.RecordSourceState(sim->global_view_);
   sim->state_log_.RecordWarehouseState(sim->maintainer_->view_contents());
   return sim;
 }
@@ -285,9 +285,9 @@ Status MsSimulation::StepSourceUpdate(size_t s) {
   u.id = next_update_id_++;
   WVM_RETURN_IF_ERROR(sources_[s].Apply(u));
   WVM_RETURN_IF_ERROR(merged_.Apply(u));
+  WVM_RETURN_IF_ERROR(ApplyViewDelta(view_, u, merged_, &global_view_));
   to_warehouse_[s]->Send(UpdateNotification{std::move(u)});
-  WVM_ASSIGN_OR_RETURN(Relation v, GlobalViewNow());
-  state_log_.RecordSourceState(std::move(v));
+  state_log_.RecordSourceState(global_view_);
   return Status::OK();
 }
 

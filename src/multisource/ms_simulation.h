@@ -161,7 +161,8 @@ class MsSimulation {
     return maintainer_->view_contents();
   }
   const MsMaintainer& maintainer() const { return *maintainer_; }
-  /// The view over the merged current state of all sources.
+  /// The view evaluated from scratch over the merged current state of all
+  /// sources; independent of the delta-maintained state log.
   Result<Relation> GlobalViewNow() const;
   const StateLog& state_log() const { return state_log_; }
   int64_t fragment_requests() const { return fragment_requests_; }
@@ -190,6 +191,9 @@ class MsSimulation {
   std::unique_ptr<Context> context_;
   std::vector<Catalog> sources_;
   Catalog merged_;   // mirror of all sources, for global states
+  // V over merged_: evaluated at creation, then advanced by ApplyViewDelta
+  // after every update; each global source state records a copy.
+  Relation global_view_;
   Catalog genesis_;  // the initial merged state: replay's checkpoint zero
   std::map<std::string, size_t> owner_;
   // One channel pair per source; unique_ptr because TransportChannel is

@@ -87,4 +87,15 @@ Result<Relation> EvaluateView(const ViewDefinitionPtr& view,
   return EvaluateTerm(Term::FromView(view), catalog);
 }
 
+Status ApplyViewDelta(const ViewDefinitionPtr& view, const Update& u,
+                      const Catalog& catalog, Relation* state) {
+  std::optional<Term> delta = Term::FromView(view).Substitute(u);
+  if (!delta.has_value()) {
+    return Status::OK();
+  }
+  WVM_ASSIGN_OR_RETURN(Relation d, EvaluateTerm(*delta, catalog));
+  state->Add(d);
+  return Status::OK();
+}
+
 }  // namespace wvm

@@ -65,6 +65,16 @@ Result<std::vector<Relation>> EvaluateQueryPerTerm(const Query& query,
 Result<Relation> EvaluateView(const ViewDefinitionPtr& view,
                               const Catalog& catalog);
 
+/// Advances `*state` from V[before u] to V[after u] by adding V<U> evaluated
+/// over `catalog`, which must already reflect `u`: first-order IVM, with no
+/// compensation because the caller sees the source's own update order.
+/// ViewDefinition::Create rejects views that read a relation twice, so V is
+/// linear in u's relation and the one substitution is exact. An update to a
+/// relation the view does not read leaves `*state` untouched, as does an
+/// empty delta (so storage shared with earlier copies stays shared).
+Status ApplyViewDelta(const ViewDefinitionPtr& view, const Update& u,
+                      const Catalog& catalog, Relation* state);
+
 }  // namespace wvm
 
 #endif  // WVM_QUERY_EVALUATOR_H_

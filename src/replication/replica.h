@@ -31,7 +31,9 @@ const char* ReplicaMembershipName(ReplicaMembership m);
 
 /// A replica's durable checkpoint: the maintainer's full state (the same
 /// MaintainerSnapshot hierarchy src/recovery checkpoints use) plus the LSN
-/// floor it folds in. Relations are copy-on-write, so taking one is cheap.
+/// floor it folds in. Relations are copy-on-write, so taking one copies no
+/// tuple; but while it is held, the next mutation of the replica's view
+/// (its next install) clones the whole view first.
 struct ReplicaCheckpoint {
   std::shared_ptr<const MaintainerSnapshot> maintainer;
   /// Sequenced messages with LSN < this are folded into `maintainer`.

@@ -124,8 +124,10 @@ Result<std::unique_ptr<Simulation>> Simulation::Create(
   WVM_RETURN_IF_ERROR(sim->warehouse_->Initialize(initial));
 
   if (options.instrument.record_states) {
-    // ss_0 and ws_0: the paper assumes V[ws_0] = V[ss_0].
-    WVM_RETURN_IF_ERROR(sim->RecordSourceState());
+    // ss_0 and ws_0: the paper assumes V[ws_0] = V[ss_0]. Later source
+    // states advance V[ss_0] by each update's delta (StepSourceUpdate).
+    WVM_ASSIGN_OR_RETURN(sim->source_view_, sim->SourceViewNow());
+    sim->state_log_.RecordSourceState(sim->source_view_, sim->event_seq_);
     sim->RecordWarehouseState();
   }
   if (options.recovery.enabled) {
@@ -256,8 +258,11 @@ bool Simulation::Quiescent() const {
 }
 
 Status Simulation::RecordSourceState() {
-  WVM_ASSIGN_OR_RETURN(Relation v, SourceViewNow());
-  state_log_.RecordSourceState(std::move(v), event_seq_);
+  if (options_.view_evaluator) {
+    // A composite view has no single delta plan: evaluate from scratch.
+    WVM_ASSIGN_OR_RETURN(source_view_, SourceViewNow());
+  }
+  state_log_.RecordSourceState(source_view_, event_seq_);
   return Status::OK();
 }
 
@@ -280,9 +285,17 @@ Status Simulation::StepSourceUpdate() {
   // Execute the next batch (usually of size 1) as one atomic source event,
   // then ship one notification.
   std::vector<Update> batch = script_[cursor_++];
+  const bool delta_states =
+      options_.instrument.record_states && !options_.view_evaluator;
   for (Update& u : batch) {
     u.id = next_update_id_++;
     WVM_RETURN_IF_ERROR(source_->ExecuteUpdate(u));
+    if (delta_states) {
+      // Once per update, not per batch: a batch may touch several
+      // relations, and each delta is exact only against its own step.
+      WVM_RETURN_IF_ERROR(
+          ApplyViewDelta(view_, u, source_->catalog(), &source_view_));
+    }
   }
   if (options_.instrument.record_trace) {
     std::vector<std::string> parts;

@@ -105,8 +105,9 @@ struct SimulationOptions {
   int batch_size = 1;
   /// How to evaluate the view over a source catalog when recording
   /// V[ss_i] states and answering SourceViewNow(). Defaults to evaluating
-  /// the single ViewDefinition; composite (union/difference) views install
-  /// their own evaluator here.
+  /// the single ViewDefinition, whose recorded states after ss_0 advance by
+  /// each update's delta; composite (union/difference) views install their
+  /// own evaluator here, which then evaluates every state from scratch.
   std::function<Result<Relation>(const Catalog&)> view_evaluator;
   /// Transport fault schedule for both directions (source->warehouse and
   /// warehouse->source). Off by default: the channels stay plain FIFO and
@@ -242,7 +243,8 @@ class Simulation {
   size_t updates_remaining() const;
   uint64_t updates_executed() const { return next_update_id_ - 1; }
 
-  /// The view evaluated directly at the source right now (V[current ss]).
+  /// The view evaluated from scratch at the source right now
+  /// (V[current ss]); independent of the delta-maintained state log.
   Result<Relation> SourceViewNow() const;
 
  private:
@@ -251,6 +253,8 @@ class Simulation {
         options_(options),
         meter_(options.bytes_per_tuple) {}
 
+  /// Records source_view_ as the next V[ss_i] (re-evaluated first when a
+  /// composite view evaluator is set).
   Status RecordSourceState();
   void RecordWarehouseState();
 
@@ -276,6 +280,9 @@ class Simulation {
   TransportChannel<SourceMessage> to_warehouse_;
   TransportChannel<QueryMessage> to_source_;
   StateLog state_log_;
+  // V[current ss] while states are recorded: evaluated at ss_0, then
+  // advanced by ApplyViewDelta after every executed update.
+  Relation source_view_;
   Trace trace_;
   std::vector<std::vector<Update>> script_;  // one entry per atomic batch
   size_t cursor_ = 0;
