@@ -44,7 +44,8 @@ namespace wvm {
 /// Checkpoint of the warehouse site: the maintenance algorithm's full state
 /// (MV + UQS + COLLECT progress, captured via ViewMaintainer::SnapshotState)
 /// plus the counters replay needs. Relations are copy-on-write, so taking
-/// one is cheap.
+/// one copies no tuple; but while it is held it shares MV's storage, so the
+/// warehouse's next install clones the whole view first.
 struct WarehouseCheckpoint {
   std::shared_ptr<const MaintainerSnapshot> maintainer;
   uint64_t next_query_id = 1;
