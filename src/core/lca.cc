@@ -70,4 +70,23 @@ void Lca::ApplyCompletedPrefix(WarehouseContext* ctx) {
   }
 }
 
+std::shared_ptr<const MaintainerSnapshot> Lca::SnapshotState() const {
+  auto snap = std::make_shared<Snapshot>();
+  snap->mv = mv_;
+  snap->uqs = uqs_;
+  snap->pending = pending_;
+  return snap;
+}
+
+Status Lca::RestoreState(const MaintainerSnapshot& snapshot) {
+  const auto* snap = dynamic_cast<const Snapshot*>(&snapshot);
+  if (snap == nullptr) {
+    return Status::InvalidArgument("snapshot was not taken from LCA");
+  }
+  mv_ = snap->mv;
+  uqs_ = snap->uqs;
+  pending_ = snap->pending;
+  return Status::OK();
+}
+
 }  // namespace wvm

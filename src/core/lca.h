@@ -2,6 +2,7 @@
 #define WVM_CORE_LCA_H_
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/warehouse.h"
@@ -50,10 +51,20 @@ class Lca : public ViewMaintainer {
   /// which the source answers but no later substitution can reach.
   const std::map<uint64_t, Query>& uqs() const { return uqs_; }
 
+  std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
+  Status RestoreState(const MaintainerSnapshot& snapshot) override;
+
  private:
   struct PendingDelta {
     Relation delta;
     int open_terms = 0;
+  };
+
+  /// LCA's recoverable state: MV plus the UQS and the per-update deltas
+  /// still waiting for answers.
+  struct Snapshot : MaintainerSnapshot {
+    std::map<uint64_t, Query> uqs;
+    std::map<uint64_t, PendingDelta> pending;
   };
 
   /// Applies, in update order, every leading delta whose terms have all

@@ -32,4 +32,24 @@ Status RecomputeView::OnAnswer(const AnswerMessage& a, WarehouseContext* ctx) {
   return Status::OK();
 }
 
+std::shared_ptr<const MaintainerSnapshot> RecomputeView::SnapshotState()
+    const {
+  auto snap = std::make_shared<Snapshot>();
+  snap->mv = mv_;
+  snap->count = count_;
+  snap->outstanding = outstanding_;
+  return snap;
+}
+
+Status RecomputeView::RestoreState(const MaintainerSnapshot& snapshot) {
+  const auto* snap = dynamic_cast<const Snapshot*>(&snapshot);
+  if (snap == nullptr) {
+    return Status::InvalidArgument("snapshot was not taken from RV");
+  }
+  mv_ = snap->mv;
+  count_ = snap->count;
+  outstanding_ = snap->outstanding;
+  return Status::OK();
+}
+
 }  // namespace wvm

@@ -1,6 +1,7 @@
 #ifndef WVM_CORE_RV_H_
 #define WVM_CORE_RV_H_
 
+#include <memory>
 #include <string>
 
 #include "core/warehouse.h"
@@ -29,7 +30,17 @@ class RecomputeView : public ViewMaintainer {
 
   int period() const { return period_; }
 
+  std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
+  Status RestoreState(const MaintainerSnapshot& snapshot) override;
+
  private:
+  /// RV's recoverable state: MV plus where it stands in the period and how
+  /// many recomputations are in flight (the period is configuration).
+  struct Snapshot : MaintainerSnapshot {
+    int count = 0;
+    int outstanding = 0;
+  };
+
   int period_;
   int count_ = 0;        // updates seen since the last recomputation request
   int outstanding_ = 0;  // recomputation queries in flight

@@ -40,4 +40,21 @@ int64_t StoreCopies::ReplicaTupleCount() const {
   return total;
 }
 
+std::shared_ptr<const MaintainerSnapshot> StoreCopies::SnapshotState() const {
+  auto snap = std::make_shared<Snapshot>();
+  snap->mv = mv_;
+  snap->copies = copies_;
+  return snap;
+}
+
+Status StoreCopies::RestoreState(const MaintainerSnapshot& snapshot) {
+  const auto* snap = dynamic_cast<const Snapshot*>(&snapshot);
+  if (snap == nullptr) {
+    return Status::InvalidArgument("snapshot was not taken from SC");
+  }
+  mv_ = snap->mv;
+  copies_ = snap->copies;
+  return Status::OK();
+}
+
 }  // namespace wvm

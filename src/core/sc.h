@@ -1,6 +1,7 @@
 #ifndef WVM_CORE_SC_H_
 #define WVM_CORE_SC_H_
 
+#include <memory>
 #include <string>
 
 #include "core/warehouse.h"
@@ -35,7 +36,16 @@ class StoreCopies : public ViewMaintainer {
   /// strategy pays (used by the comparison benchmarks).
   int64_t ReplicaTupleCount() const;
 
+  std::shared_ptr<const MaintainerSnapshot> SnapshotState() const override;
+  Status RestoreState(const MaintainerSnapshot& snapshot) override;
+
  private:
+  /// SC's recoverable state: MV plus the base-relation copies it is
+  /// computed from.
+  struct Snapshot : MaintainerSnapshot {
+    Catalog copies;
+  };
+
   Catalog copies_;
 };
 

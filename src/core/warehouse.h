@@ -90,7 +90,9 @@ class ViewMaintainer {
 
   /// Deep-copies the maintainer's full state for a recovery checkpoint.
   /// Subclasses with bookkeeping beyond MV override both snapshot hooks
-  /// with a MaintainerSnapshot subclass carrying it.
+  /// with a MaintainerSnapshot subclass carrying it: a restore followed by
+  /// a replay of the later messages must rebuild the live state exactly,
+  /// and a replica does that at every checkpoint (Replica::Checkpoint).
   virtual std::shared_ptr<const MaintainerSnapshot> SnapshotState() const {
     auto snap = std::make_shared<MaintainerSnapshot>();
     snap->mv = mv_;

@@ -33,6 +33,15 @@ const char* RepAction::KindName(Kind kind) {
 Result<std::unique_ptr<ReplicatedSimulation>> ReplicatedSimulation::Create(
     const Catalog& initial, ViewDefinitionPtr view, Algorithm algorithm,
     SimulationOptions sim_options, const ReplicationOptions& rep_options) {
+  MaintainerSpec spec;
+  spec.algorithm = algorithm;
+  return Create(initial, std::move(view), spec, std::move(sim_options),
+                rep_options);
+}
+
+Result<std::unique_ptr<ReplicatedSimulation>> ReplicatedSimulation::Create(
+    const Catalog& initial, ViewDefinitionPtr view, const MaintainerSpec& spec,
+    SimulationOptions sim_options, const ReplicationOptions& rep_options) {
   if (rep_options.num_replicas < 1) {
     return Status::InvalidArgument("num_replicas must be >= 1");
   }
@@ -65,14 +74,14 @@ Result<std::unique_ptr<ReplicatedSimulation>> ReplicatedSimulation::Create(
       std::unique_ptr<ReplicatedSimulation>(new ReplicatedSimulation(resolved));
 
   WVM_ASSIGN_OR_RETURN(std::unique_ptr<ViewMaintainer> lead_maintainer,
-                       MakeMaintainer(algorithm, view));
+                       MakeMaintainer(spec, view));
   WVM_ASSIGN_OR_RETURN(
       rep->lead_, Simulation::Create(initial, view, std::move(lead_maintainer),
                                      sim_options));
 
   for (int r = 0; r < resolved.num_replicas; ++r) {
     WVM_ASSIGN_OR_RETURN(std::unique_ptr<Replica> replica,
-                         Replica::Create(r, algorithm, view, initial,
+                         Replica::Create(r, spec, view, initial,
                                          resolved.checkpoint_every));
     Replica* raw = replica.get();
     TransportHooks<SourceMessage> hooks;
